@@ -116,18 +116,16 @@ impl EnergyMeter {
 /// the golden fingerprints over it are unchanged by the array-backed
 /// representation.
 impl Serialize for EnergyMeter {
-    fn to_value(&self) -> serde::Value {
-        let mut per_state = serde::Map::new();
+    fn serialize(&self, out: &mut serde::JsonWriter) {
+        out.begin_object();
+        out.field("total_energy", &self.total_energy);
+        out.key("per_state");
+        out.begin_object();
         for (kind, bucket) in self.buckets() {
-            match kind.to_value() {
-                serde::Value::String(key) => per_state.insert(key, bucket.to_value()),
-                other => unreachable!("unit variant serializes to a string, got {other:?}"),
-            }
+            out.entry(&kind, &bucket);
         }
-        let mut map = serde::Map::new();
-        map.insert("total_energy".to_string(), self.total_energy.to_value());
-        map.insert("per_state".to_string(), serde::Value::Object(per_state));
-        serde::Value::Object(map)
+        out.end_object();
+        out.end_object();
     }
 }
 

@@ -6,7 +6,7 @@ use lpfps_cpu::energy::EnergyMeter;
 use lpfps_cpu::state::StateKind;
 use lpfps_tasks::task::TaskId;
 use lpfps_tasks::time::{Dur, Time};
-use serde::{value, Deserialize, Error, Map, Serialize, Value};
+use serde::{value, Deserialize, Error, JsonWriter, Serialize, Value};
 
 /// Per-task response-time statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,23 +140,23 @@ pub struct SimReport {
 // matrix — byte-identical to the pre-discipline serialization. All other
 // fields follow the derive's declaration-order layout.
 impl Serialize for SimReport {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert(String::from("policy"), self.policy.to_value());
+    fn serialize(&self, out: &mut JsonWriter) {
+        out.begin_object();
+        out.field("policy", &self.policy);
         if self.discipline != "fp" {
-            map.insert(String::from("discipline"), self.discipline.to_value());
+            out.field("discipline", self.discipline);
         }
-        map.insert(String::from("taskset"), self.taskset.to_value());
-        map.insert(String::from("horizon"), self.horizon.to_value());
-        map.insert(String::from("energy"), self.energy.to_value());
-        map.insert(String::from("misses"), self.misses.to_value());
-        map.insert(String::from("responses"), self.responses.to_value());
-        map.insert(String::from("counters"), self.counters.to_value());
-        map.insert(String::from("idle_gaps"), self.idle_gaps.to_value());
-        map.insert(String::from("task_energy"), self.task_energy.to_value());
-        map.insert(String::from("histograms"), self.histograms.to_value());
-        map.insert(String::from("trace"), self.trace.to_value());
-        Value::Object(map)
+        out.field("taskset", &self.taskset);
+        out.field("horizon", &self.horizon);
+        out.field("energy", &self.energy);
+        out.field("misses", &self.misses);
+        out.field("responses", &self.responses);
+        out.field("counters", &self.counters);
+        out.field("idle_gaps", &self.idle_gaps);
+        out.field("task_energy", &self.task_energy);
+        out.field("histograms", &self.histograms);
+        out.field("trace", &self.trace);
+        out.end_object();
     }
 }
 
@@ -337,13 +337,13 @@ mod tests {
             trace: None,
         };
         // FP reports keep the pre-discipline byte layout: no tag at all.
-        let fp = report.to_value();
+        let fp = serde_json::to_value(&report).expect("fp report serializes");
         assert!(fp.get("discipline").is_none());
         let back = SimReport::from_value(&fp).expect("fp round-trip");
         assert_eq!(back.discipline, "fp");
 
         report.discipline = "edf";
-        let edf = report.to_value();
+        let edf = serde_json::to_value(&report).expect("edf report serializes");
         assert_eq!(edf["discipline"], "edf");
         let back = SimReport::from_value(&edf).expect("edf round-trip");
         assert_eq!(back.discipline, "edf");

@@ -2,7 +2,7 @@
 
 use lpfps_kernel::report::SimReport;
 use lpfps_tasks::time::Dur;
-use serde::{value, Deserialize, Error, Map, Serialize, Value};
+use serde::{value, Deserialize, Error, JsonWriter, Serialize, Value};
 
 use crate::engine::MultiCell;
 use crate::partition::{Partition, Partitioner};
@@ -127,23 +127,20 @@ impl MultiReport {
 }
 
 impl Serialize for MultiReport {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert(String::from("policy"), self.policy.to_value());
-        map.insert(String::from("partitioner"), self.partitioner.to_value());
-        map.insert(String::from("cores"), self.cores.to_value());
-        map.insert(String::from("taskset"), self.taskset.to_value());
-        map.insert(String::from("horizon"), self.horizon.to_value());
-        map.insert(String::from("assignment"), self.assignment.to_value());
-        map.insert(String::from("per_core"), self.per_core.to_value());
-        map.insert(String::from("fleet_energy"), self.fleet_energy.to_value());
-        map.insert(
-            String::from("fleet_average_power"),
-            self.fleet_average_power.to_value(),
-        );
-        map.insert(String::from("fleet_misses"), self.fleet_misses.to_value());
-        map.insert(String::from("reports"), self.reports.to_value());
-        Value::Object(map)
+    fn serialize(&self, out: &mut JsonWriter) {
+        out.begin_object();
+        out.field("policy", &self.policy);
+        out.field("partitioner", &self.partitioner);
+        out.field("cores", &self.cores);
+        out.field("taskset", &self.taskset);
+        out.field("horizon", &self.horizon);
+        out.field("assignment", &self.assignment);
+        out.field("per_core", &self.per_core);
+        out.field("fleet_energy", &self.fleet_energy);
+        out.field("fleet_average_power", &self.fleet_average_power);
+        out.field("fleet_misses", &self.fleet_misses);
+        out.field("reports", &self.reports);
+        out.end_object();
     }
 }
 

@@ -50,20 +50,11 @@ impl Condition {
     }
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a quoted JSON string literal, through the escaper the report
+/// serializer uses.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    serde::escape_str_into(&mut out, s);
     out
 }
 
@@ -111,11 +102,11 @@ impl Emitter {
         self.push(
             Time::ZERO,
             format!(
-                "{{\"name\":\"{}\",\"ph\":\"M\",\"ts\":0,\"pid\":{},\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
+                "{{\"name\":\"{}\",\"ph\":\"M\",\"ts\":0,\"pid\":{},\"tid\":{},\"args\":{{\"name\":{}}}}}",
                 name,
                 self.pid,
                 tid,
-                json_escape(value)
+                quoted(value)
             ),
         );
     }
@@ -123,16 +114,16 @@ impl Emitter {
     /// A `B`/`E` duration pair on one lane.
     fn span(&mut self, name: &str, tid: usize, from: Time, to: Time) {
         let b = format!(
-            "{{\"name\":\"{}\",\"ph\":\"B\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
-            json_escape(name),
+            "{{\"name\":{},\"ph\":\"B\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
+            quoted(name),
             ts_us(from),
             self.pid,
             tid
         );
         self.push(from, b);
         let e = format!(
-            "{{\"name\":\"{}\",\"ph\":\"E\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
-            json_escape(name),
+            "{{\"name\":{},\"ph\":\"E\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
+            quoted(name),
             ts_us(to),
             self.pid,
             tid
@@ -143,8 +134,8 @@ impl Emitter {
     /// A thread-scoped instant marker (`ph: i`).
     fn instant(&mut self, name: &str, tid: usize, at: Time) {
         let json = format!(
-            "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
-            json_escape(name),
+            "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{},\"tid\":{}}}",
+            quoted(name),
             ts_us(at),
             self.pid,
             tid

@@ -1,9 +1,10 @@
 //! Structural first-divergence diff between two [`SimReport`]s.
 //!
 //! A fingerprint mismatch tells you *that* two reports differ; this module
-//! tells you *where*. Both reports are serialized to `serde_json` values
-//! and walked in lockstep, depth-first in field order, and the first leaf
-//! (or structural) difference is returned with its dotted path — e.g.
+//! tells you *where*. Both reports are serialized to JSON text; when the
+//! texts differ they are parsed back into `serde_json` values and walked
+//! in lockstep, depth-first in field order, and the first leaf (or
+//! structural) difference is returned with its dotted path — e.g.
 //! `trace.events[214].event.Dispatch.task` — and both values rendered.
 //!
 //! The walk deliberately runs over the serialized form, not the structs:
@@ -11,7 +12,7 @@
 //! prints matches the JSON artifacts the sweep CLI emits.
 
 use lpfps_kernel::report::SimReport;
-use serde_json::{to_value, Value};
+use serde_json::Value;
 use std::fmt;
 
 /// The first point where two reports disagree.
@@ -42,16 +43,30 @@ impl fmt::Display for Divergence {
 /// `f64` bit semantics as `serde_json` preserves them — the differential
 /// harness demands *bitwise* energy equality, not approximate equality.
 pub fn first_divergence(left: &SimReport, right: &SimReport) -> Option<Divergence> {
-    // `SimReport` serializes infallibly; if that ever stops holding, the
-    // unserializable side is itself the divergence.
-    let (Ok(l), Ok(r)) = (to_value(left), to_value(right)) else {
-        return Some(Divergence {
-            path: "report".to_string(),
-            left: "<unserializable>".to_string(),
-            right: "<unserializable>".to_string(),
-        });
+    // Equal text is the common case and needs no tree. `SimReport`
+    // serializes infallibly and its text parses back; if that ever stops
+    // holding, the unserializable side is itself the divergence.
+    let (Ok(l), Ok(r)) = (serde_json::to_string(left), serde_json::to_string(right)) else {
+        return Some(unserializable());
+    };
+    if l == r {
+        return None;
+    }
+    let (Ok(l), Ok(r)) = (
+        serde_json::from_str::<Value>(&l),
+        serde_json::from_str::<Value>(&r),
+    ) else {
+        return Some(unserializable());
     };
     walk("report", &l, &r)
+}
+
+fn unserializable() -> Divergence {
+    Divergence {
+        path: "report".to_string(),
+        left: "<unserializable>".to_string(),
+        right: "<unserializable>".to_string(),
+    }
 }
 
 fn walk(path: &str, left: &Value, right: &Value) -> Option<Divergence> {
